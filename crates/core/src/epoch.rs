@@ -214,6 +214,7 @@ mod tests {
         const READERS: usize = 4;
 
         let drops = Arc::new(AtomicUsize::new(0));
+        let rejections = Arc::new(AtomicUsize::new(0));
         let cell = Arc::new(EpochCell::new(Arc::new(Tracked {
             value: 0,
             drops: Arc::clone(&drops),
@@ -222,6 +223,7 @@ mod tests {
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let drops = Arc::clone(&drops);
+                let rejections = Arc::clone(&rejections);
                 std::thread::spawn(move || {
                     for _ in 0..PUBLISHES {
                         loop {
@@ -233,6 +235,8 @@ mod tests {
                             if cell.publish_if_current(&current, next) {
                                 break;
                             }
+                            // A losing CAS drops its rejected snapshot.
+                            rejections.fetch_add(1, SeqCst);
                         }
                     }
                 })
@@ -261,10 +265,16 @@ mod tests {
         }
         // The CAS loop makes publishes linearizable: the final value counts
         // every successful publish.
-        assert_eq!(cell.load().value as usize, WRITERS * PUBLISHES);
+        let successes = WRITERS * PUBLISHES;
+        assert_eq!(cell.load().value as usize, successes);
+        let rejections = rejections.load(SeqCst);
+        // Every displaced and every rejected snapshot is reclaimed while
+        // the cell lives; only the current one remains.
+        assert_eq!(drops.load(SeqCst), successes + rejections);
         drop(cell);
-        // One initial snapshot + one per publish, all reclaimed.
-        assert_eq!(drops.load(SeqCst), WRITERS * PUBLISHES + 1);
+        // One initial snapshot + one per publish + one per rejected
+        // publish, each dropped exactly once.
+        assert_eq!(drops.load(SeqCst), 1 + successes + rejections);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! [`ClientSession`]: dbtouch_server::ClientSession
 
 use crate::codec::{decode_response, encode_request, Request, Response};
-use crate::frame::{read_frame, write_frame, FrameReadError, ReadOutcome, MAX_FRAME_LEN};
+use crate::frame::{read_frame, write_frame, ReadOutcome, MAX_FRAME_LEN};
 use crate::server::client_handshake;
 use dbtouch_core::kernel::{ObjectId, TouchAction};
 use dbtouch_gesture::trace::GestureTrace;
@@ -137,19 +137,33 @@ pub struct TcpSession {
 
 /// Send one request and read its response.
 fn request(stream: &mut TcpStream, req: &Request) -> Result<Response> {
-    write_frame(stream, &encode_request(req))
-        .map_err(|e| DbTouchError::Io(format!("send: {e}")))?;
-    loop {
-        match read_frame(stream, MAX_FRAME_LEN) {
-            Ok((ReadOutcome::Frame(p), _)) => return decode_response(&p),
-            Ok((ReadOutcome::Eof, _)) => {
-                return Err(DbTouchError::Io("connection closed by server".into()))
-            }
-            // The client keeps blocking reads; a timeout only appears if the
-            // caller configured one — treat it as "keep waiting".
-            Err(FrameReadError::IdleTimeout) => continue,
-            Err(e) => return Err(DbTouchError::Io(format!("receive: {e}"))),
-        }
+    decode_response(&exchange(
+        stream,
+        &encode_request(req),
+        MAX_FRAME_LEN,
+        "request",
+    )?)
+}
+
+/// Send one frame and read the reply frame's payload; `what` names the
+/// exchange in errors. A server that answers and hangs up — a drain after
+/// its `GoAway`, a shed at accept — can make the send fail with the answer
+/// already waiting on the socket: a queued frame is the reply, and the send
+/// error is reported only when there is none.
+pub(crate) fn exchange(
+    stream: &mut TcpStream,
+    payload: &[u8],
+    max_len: usize,
+    what: &str,
+) -> Result<Vec<u8>> {
+    let sent = write_frame(stream, payload);
+    match (sent, read_frame(stream, max_len)) {
+        (_, Ok((ReadOutcome::Frame(p), _))) => Ok(p),
+        (Err(e), _) => Err(DbTouchError::Io(format!("{what} send: {e}"))),
+        (Ok(_), Ok((ReadOutcome::Eof, _))) => Err(DbTouchError::Io(format!(
+            "connection closed by server during {what}"
+        ))),
+        (Ok(_), Err(e)) => Err(DbTouchError::Io(format!("{what} receive: {e}"))),
     }
 }
 

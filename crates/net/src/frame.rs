@@ -21,9 +21,7 @@
 //!   stream cannot be trusted, the connection must close;
 //! * a checksum mismatch — [`FrameReadError::BadChecksum`]; the full frame
 //!   *was* consumed, so the stream is still in sync and the connection can
-//!   carry an error response and keep serving;
-//! * a read timeout before the first byte of a frame —
-//!   [`FrameReadError::IdleTimeout`], the hook graceful drain polls on.
+//!   carry an error response and keep serving.
 //!
 //! None of these panic: every byte of the payload is attacker-controlled and
 //! the decoder above this layer is likewise total.
@@ -130,10 +128,8 @@ pub enum FrameReadError {
     /// The payload was fully consumed but its checksum did not match. The
     /// stream stays in sync — the connection can answer and continue.
     BadChecksum,
-    /// The read timed out before the first byte of a new frame arrived.
-    /// The stream stays in sync; used to poll a drain flag between frames.
-    IdleTimeout,
-    /// Any other I/O failure (connection reset, …).
+    /// Any other I/O failure (connection reset, a read timeout the caller
+    /// configured, …).
     Io(String),
 }
 
@@ -144,16 +140,14 @@ impl std::fmt::Display for FrameReadError {
             FrameReadError::Oversize(len) => write!(f, "frame length {len} exceeds maximum"),
             FrameReadError::Empty => write!(f, "empty frame payload"),
             FrameReadError::BadChecksum => write!(f, "frame checksum mismatch"),
-            FrameReadError::IdleTimeout => write!(f, "idle timeout between frames"),
             FrameReadError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }
 }
 
-/// Read exactly `buf.len()` bytes. `consumed_any` reports whether any byte of
-/// the current frame was already consumed: a timeout with nothing consumed is
-/// the benign [`FrameReadError::IdleTimeout`]; once inside a frame, timeouts
-/// keep the read alive (a slow peer is not a protocol error).
+/// Read exactly `buf.len()` bytes; false on EOF. `consumed_any` records
+/// whether any byte of the current frame was consumed, which tells a clean
+/// EOF at a frame boundary from a truncated frame.
 fn read_exact_tracking(
     r: &mut impl Read,
     buf: &mut [u8],
@@ -166,12 +160,6 @@ fn read_exact_tracking(
             Ok(n) => {
                 pos += n;
                 *consumed_any = true;
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if !*consumed_any {
-                    return Err(FrameReadError::IdleTimeout);
-                }
-                // Mid-frame timeout: keep waiting for the rest.
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(FrameReadError::Io(e.to_string())),

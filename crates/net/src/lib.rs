@@ -52,7 +52,7 @@ pub mod frame;
 pub mod metrics;
 pub mod server;
 
-pub use admission::{Admission, Verdict};
+pub use admission::{Admission, ShedSignal, Verdict};
 pub use client::{TcpClient, TcpSession};
 pub use codec::{
     decode_request, decode_response, encode_request, encode_response, Request, Response,

@@ -5,10 +5,10 @@
 //! the same validated [`ServerConfig`] every other entry point uses, then
 //! listens on `config.listen_addr`:
 //!
-//! * the **acceptor** thread accepts sockets and pushes them into a bounded
-//!   queue of `config.accept_backlog` entries — an accept burst beyond the
-//!   queue (or beyond `config.max_connections` live connections) receives an
-//!   explicit `Shed` frame and is closed, counted in `net.shed`;
+//! * the **acceptor** thread blocks in `accept` and pushes sockets into a
+//!   bounded queue of `config.accept_backlog` entries — an accept burst
+//!   beyond the queue (or beyond `config.max_connections` live connections)
+//!   receives an explicit `Shed` frame and is closed, counted in `net.shed`;
 //! * the **dispatcher** thread drains the queue and spawns one handler
 //!   thread per connection (sessions are cheap: the exploration server
 //!   multiplexes them over its fixed worker pool, so a connection thread
@@ -19,18 +19,33 @@
 //!   server accepted the event, so the bounded per-session queue's
 //!   backpressure propagates to the client as TCP flow control.
 //!
+//! Nothing in the loop polls: the acceptor blocks in `accept` and idle
+//! handlers block in `read` with no timeout, so a new connection or a frame
+//! is served the moment it arrives.
+//!
 //! Admission control runs *before* work is queued: `OpenSession` and
 //! `RunTrace` consult [`Admission`] against the live metrics snapshot and
 //! answer `Shed { retry_after_ms, reason }` when a threshold is tripped.
+//! With no threshold configured no snapshot is built.
 //!
-//! **Graceful drain** ([`NetServer::shutdown`]): the acceptor stops
-//! accepting, every handler finishes the frame in flight, closes its session
-//! (flushing queued traces through the barrier), sends `GoAway` carrying the
-//! final [`SessionReport`], and answers any straggling requests with an
-//! error until the client hangs up. Only then is the inner exploration
-//! server shut down.
+//! **Graceful drain** ([`NetServer::shutdown`]) wakes every blocked thread
+//! directly. It sets the draining flag, then
+//!
+//! 1. wakes the blocking `accept` with one connection to the listener's own
+//!    address; the acceptor drops it and exits, and the dispatcher follows
+//!    once the queue closes;
+//! 2. shuts down the read half of every live connection, through the clone
+//!    of its stream each handler registers. A handler blocked in `read` sees
+//!    end of stream at once; a busy one finishes its request and sees it on
+//!    the next read. The handler then closes its session (flushing queued
+//!    traces through the barrier), sends `GoAway` carrying the final
+//!    [`SessionReport`], and answers requests already queued on the socket
+//!    with an error;
+//! 3. waits on a condvar, bounded by `config.drain_timeout_ms`, until the
+//!    last handler has gone, and only then shuts the inner exploration
+//!    server down.
 
-use crate::admission::{Admission, Verdict};
+use crate::admission::{Admission, ShedSignal, Verdict};
 use crate::codec::{decode_request, encode_response, Request, Response};
 use crate::frame::{
     read_frame, write_frame, FrameReadError, ReadOutcome, MAX_FRAME_LEN, MAX_HANDSHAKE_LEN,
@@ -43,18 +58,19 @@ use dbtouch_server::{
 };
 use dbtouch_types::json::{self, Json};
 use dbtouch_types::{DbTouchError, Result};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io::{ErrorKind, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Poll interval of the nonblocking acceptor and the handlers' read timeout:
-/// the upper bound on how stale the draining flag can be observed.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
+/// Pause after an `accept` that failed for lack of resources (EMFILE,
+/// ENOBUFS, …), so the acceptor does not spin while they are exhausted.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// The JSON handshake payload, carrying `version` (a client offers its own;
 /// a server acks the negotiated `min(client, server)`).
@@ -86,33 +102,87 @@ pub(crate) fn check_hello(body: &[u8]) -> std::result::Result<u64, String> {
     }
 }
 
-/// The `detail` code a `Shed` trace event carries (see
-/// [`TraceEventKind::Shed`]): derived from the admission reason text.
-fn shed_reason_code(reason: &str) -> u64 {
-    if reason.contains("drain") {
-        1
-    } else if reason.contains("connection") || reason.contains("backlog") {
-        2
-    } else {
-        0
-    }
-}
-
 struct Shared {
     server: ExplorationServer,
     instruments: Arc<NetInstruments>,
     admission: Admission,
     draining: AtomicBool,
-    live_connections: AtomicUsize,
+    connections: Arc<Connections>,
     retry_after_ms: u64,
     drain_timeout: Duration,
 }
 
-impl Shared {
-    fn update_connection_gauge(&self) {
-        self.instruments
-            .connections
-            .set(self.live_connections.load(Ordering::SeqCst) as u64);
+/// The live connection handlers: a clone of each one's stream, so a drain
+/// can wake a handler blocked in `read`, and the condvar
+/// [`NetServer::shutdown`] waits on until the last handler has gone. It sits
+/// outside [`Shared`] so a handler can release its `Shared` reference
+/// *before* it deregisters: once the table is empty, nothing but the
+/// `NetServer` holds `Shared`.
+struct Connections {
+    table: Mutex<ConnectionTable>,
+    gone: Condvar,
+    instruments: Arc<NetInstruments>,
+}
+
+#[derive(Default)]
+struct ConnectionTable {
+    next_id: u64,
+    streams: HashMap<u64, TcpStream>,
+}
+
+impl Connections {
+    /// Every update below leaves the table valid, so a guard poisoned by a
+    /// panicking handler is safe to recover; the drain must still run.
+    fn lock(&self) -> MutexGuard<'_, ConnectionTable> {
+        self.table.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn live(&self) -> usize {
+        self.lock().streams.len()
+    }
+
+    /// Register a handler's stream; `None` when it cannot be cloned (then
+    /// it could not be woken, so it is not served).
+    fn register(&self, stream: &TcpStream) -> Option<u64> {
+        let clone = stream.try_clone().ok()?;
+        let mut table = self.lock();
+        let id = table.next_id;
+        table.next_id += 1;
+        table.streams.insert(id, clone);
+        self.instruments.connections.set(table.streams.len() as u64);
+        Some(id)
+    }
+
+    fn deregister(&self, id: u64) {
+        let mut table = self.lock();
+        table.streams.remove(&id);
+        self.instruments.connections.set(table.streams.len() as u64);
+        self.gone.notify_all();
+    }
+
+    /// End of stream for every blocked `read`: the drain wake.
+    fn wake_all(&self) {
+        for stream in self.lock().streams.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+
+    /// Wait until every handler has deregistered or `deadline` passes;
+    /// true when none is left.
+    fn wait_all_gone(&self, deadline: Instant) -> bool {
+        let mut table = self.lock();
+        while !table.streams.is_empty() {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            table = self
+                .gone
+                .wait_timeout(table, deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+        true
     }
 }
 
@@ -147,16 +217,17 @@ impl NetServer {
         let local_addr = listener
             .local_addr()
             .map_err(|e| DbTouchError::Io(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| DbTouchError::Io(format!("set_nonblocking: {e}")))?;
 
         let shared = Arc::new(Shared {
             server,
+            connections: Arc::new(Connections {
+                table: Mutex::default(),
+                gone: Condvar::new(),
+                instruments: Arc::clone(&instruments),
+            }),
             instruments,
             admission: Admission::new(config.shed.clone()),
             draining: AtomicBool::new(false),
-            live_connections: AtomicUsize::new(0),
             retry_after_ms: config.shed.retry_after_ms,
             drain_timeout: Duration::from_millis(config.drain_timeout_ms),
         });
@@ -206,41 +277,44 @@ impl NetServer {
     /// Graceful drain: stop accepting, let every connection flush its
     /// in-flight traces and receive its final report via `GoAway`, then shut
     /// the inner exploration server down. Connections that have not finished
-    /// within `config.drain_timeout_ms` are abandoned (their handler threads
-    /// die with the process).
+    /// within `config.drain_timeout_ms` are abandoned; the last of them to
+    /// finish shuts the exploration server down as it drops it.
     pub fn shutdown(mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+        let shared = &self.shared;
+        shared.draining.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + shared.drain_timeout;
+        // One connection to our own listener wakes the blocking `accept`.
+        // Should even that fail, the acceptor cannot be joined: leave it
+        // (and the dispatcher waiting on it) blocked rather than hang.
+        let woke = TcpStream::connect(wake_addr(self.local_addr));
+        if woke.is_ok() {
+            if let Some(a) = self.acceptor.take() {
+                let _ = a.join();
+            }
+            // The queue closed with the acceptor: no handler starts after
+            // this join, so the wake below reaches every one of them.
+            if let Some(d) = self.dispatcher.take() {
+                let _ = d.join();
+            }
         }
-        if let Some(d) = self.dispatcher.take() {
-            let _ = d.join();
-        }
-        let deadline = Instant::now() + self.shared.drain_timeout;
-        while self.shared.live_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // Handlers decrement the live count just before releasing their
-        // reference; retry briefly to win that last race.
-        let mut shared = self.shared;
-        loop {
-            match Arc::try_unwrap(shared) {
-                Ok(inner) => {
-                    inner.server.shutdown();
-                    return;
-                }
-                Err(back) => {
-                    shared = back;
-                    if Instant::now() >= deadline {
-                        // Stragglers still hold the server; give it up — the
-                        // workers park when their queues drain.
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+        shared.connections.wake_all();
+        if shared.connections.wait_all_gone(deadline) {
+            if let Ok(inner) = Arc::try_unwrap(self.shared) {
+                inner.server.shutdown();
             }
         }
     }
+}
+
+/// The address that reaches a listener bound to `local`: an unspecified
+/// bind address (`0.0.0.0`, `::`) is reached through loopback.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
 }
 
 /// Send a response frame, accounting bytes; false when the peer is gone.
@@ -256,14 +330,17 @@ fn send(shared: &Shared, stream: &mut TcpStream, resp: &Response) -> bool {
 
 /// Shed a connection before it is served: explicit `Shed` frame, then close.
 /// Pre-handshake sheds carry no trace context, but the decision itself is
-/// stamped into the event ring so operators can see it server-side.
-fn shed_connection(shared: &Shared, mut stream: TcpStream, reason: &str) {
+/// stamped into the event ring so operators can see it server-side. The
+/// frame leaves without Nagle's delay: closing on a client `Hello` that was
+/// never read resets the connection and discards any unsent bytes.
+fn shed_connection(shared: &Shared, mut stream: TcpStream, signal: ShedSignal, reason: &str) {
+    let _ = stream.set_nodelay(true);
     shared.instruments.shed.inc();
     shared
         .server
         .catalog()
         .telemetry()
-        .event(TraceEventKind::Shed, shed_reason_code(reason));
+        .event(TraceEventKind::Shed, signal.code());
     let resp = Response::Shed {
         retry_after_ms: shared.retry_after_ms,
         reason: reason.into(),
@@ -278,28 +355,44 @@ fn accept_loop(
     max_connections: usize,
 ) {
     loop {
+        let accepted = listener.accept();
         if shared.draining.load(Ordering::SeqCst) {
+            // The drain's wake-up connection (or a client racing the
+            // drain): dropped unserved.
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 shared.instruments.accepted.inc();
-                if shared.live_connections.load(Ordering::SeqCst) >= max_connections {
-                    shed_connection(shared, stream, "connection limit reached");
+                if shared.connections.live() >= max_connections {
+                    shed_connection(
+                        shared,
+                        stream,
+                        ShedSignal::ConnectionLimit,
+                        "connection limit reached",
+                    );
                     continue;
                 }
                 match tx.try_send(stream) {
                     Ok(()) => {}
                     Err(TrySendError::Full(stream)) => {
-                        shed_connection(shared, stream, "accept backlog full");
+                        shed_connection(
+                            shared,
+                            stream,
+                            ShedSignal::AcceptBacklog,
+                            "accept backlog full",
+                        );
                     }
                     Err(TrySendError::Disconnected(_)) => return,
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+            // The peer gave up before we accepted it: nothing to wait for.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::ConnectionAborted | ErrorKind::Interrupted
+                ) => {}
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -310,51 +403,49 @@ fn dispatch_loop(shared: Arc<Shared>, rx: Receiver<TcpStream>) {
         if shared.draining.load(Ordering::SeqCst) {
             continue; // queued behind the drain: just close.
         }
-        shared.live_connections.fetch_add(1, Ordering::SeqCst);
-        shared.update_connection_gauge();
+        let Some(id) = shared.connections.register(&stream) else {
+            continue;
+        };
         let conn_shared = Arc::clone(&shared);
         let spawned = std::thread::Builder::new()
             .name("net-conn".into())
             .spawn(move || {
                 // The handler is panic-contained so a bug in one connection
-                // cannot wedge the live-connection accounting of the rest.
+                // cannot wedge the connection accounting of the rest.
                 let _ = catch_unwind(AssertUnwindSafe(|| handle_connection(&conn_shared, stream)));
-                conn_shared.live_connections.fetch_sub(1, Ordering::SeqCst);
-                conn_shared.update_connection_gauge();
+                let connections = Arc::clone(&conn_shared.connections);
+                drop(conn_shared);
+                connections.deregister(id);
             });
         if spawned.is_err() {
             // Could not spawn a handler: undo the accounting (the socket
             // moved into the dropped closure and is already closed).
-            shared.live_connections.fetch_sub(1, Ordering::SeqCst);
-            shared.update_connection_gauge();
+            shared.connections.deregister(id);
         }
     }
 }
 
-/// The per-connection protocol loop.
+/// The per-connection protocol loop. Reads block with no timeout; end of
+/// stream while the server drains is the drain wake (see the module docs).
 fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
 
     // --- handshake -------------------------------------------------------
-    let hello = loop {
-        match read_frame(&mut stream, MAX_HANDSHAKE_LEN) {
-            Ok((ReadOutcome::Frame(p), n)) => {
-                shared.instruments.bytes_in.add(n);
-                break p;
+    let hello = match read_frame(&mut stream, MAX_HANDSHAKE_LEN) {
+        Ok((ReadOutcome::Frame(p), n)) => {
+            shared.instruments.bytes_in.add(n);
+            p
+        }
+        Ok((ReadOutcome::Eof, _)) => {
+            if shared.draining.load(Ordering::SeqCst) {
+                let _ = send(shared, &mut stream, &Response::GoAway(None));
             }
-            Ok((ReadOutcome::Eof, _)) => return,
-            Err(FrameReadError::IdleTimeout) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    let _ = send(shared, &mut stream, &Response::GoAway(None));
-                    return;
-                }
-            }
-            Err(e) => {
-                shared.instruments.frame_errors.inc();
-                let _ = send(shared, &mut stream, &Response::Error(e.to_string()));
-                return;
-            }
+            return;
+        }
+        Err(e) => {
+            shared.instruments.frame_errors.inc();
+            let _ = send(shared, &mut stream, &Response::Error(e.to_string()));
+            return;
         }
     };
     if hello.first() != Some(&crate::frame::tag::HELLO) {
@@ -397,13 +488,16 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                     break;
                 }
             }
-            Ok((ReadOutcome::Eof, _)) => break,
-            Err(FrameReadError::IdleTimeout) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    drain_connection(shared, stream, session.take());
-                    return;
-                }
+            // The client hung up — or the drain woke us, possibly cutting
+            // a frame short: either way the session is closed, and a
+            // draining server delivers its final report.
+            Ok((ReadOutcome::Eof, _)) | Err(FrameReadError::Truncated)
+                if shared.draining.load(Ordering::SeqCst) =>
+            {
+                drain_connection(shared, stream, session.take());
+                return;
             }
+            Ok((ReadOutcome::Eof, _)) => break,
             Err(e @ (FrameReadError::BadChecksum | FrameReadError::Empty)) => {
                 // The stream is still in sync: answer and keep serving.
                 shared.instruments.frame_errors.inc();
@@ -451,12 +545,17 @@ fn serve_request(
             if session.is_some() {
                 Response::Error("a session is already open on this connection".into())
             } else {
-                match shared
-                    .admission
-                    .admit_open(&shared.server.metrics_snapshot())
-                {
+                let verdict = if shared.admission.gates_opens() {
+                    shared
+                        .admission
+                        .admit_open(&shared.server.metrics_snapshot())
+                } else {
+                    Verdict::Admit
+                };
+                match verdict {
                     Verdict::Shed {
                         retry_after_ms,
+                        signal,
                         reason,
                     } => {
                         shared.instruments.shed.inc();
@@ -464,7 +563,7 @@ fn serve_request(
                             .server
                             .catalog()
                             .telemetry()
-                            .event(TraceEventKind::Shed, shed_reason_code(&reason));
+                            .event(TraceEventKind::Shed, signal.code());
                         Response::Shed {
                             retry_after_ms,
                             reason,
@@ -510,12 +609,17 @@ fn serve_request(
                     );
                 }
                 let admit_started = hub.now_nanos();
-                match shared
-                    .admission
-                    .admit_trace(&shared.server.metrics_snapshot())
-                {
+                let verdict = if shared.admission.gates_traces() {
+                    shared
+                        .admission
+                        .admit_trace(&shared.server.metrics_snapshot())
+                } else {
+                    Verdict::Admit
+                };
+                match verdict {
                     Verdict::Shed {
                         retry_after_ms,
+                        signal,
                         reason,
                     } => {
                         shared.instruments.shed.inc();
@@ -526,12 +630,12 @@ fn serve_request(
                         match wire {
                             Some(w) => {
                                 hub.adopt_trace(s.id(), w.trace);
-                                hub.event(TraceEventKind::Shed, shed_reason_code(&reason));
+                                hub.event(TraceEventKind::Shed, signal.code());
                                 hub.end_trace();
                                 hub.spans().trace_abort(s.id(), w.trace);
                             }
                             None => {
-                                hub.event(TraceEventKind::Shed, shed_reason_code(&reason));
+                                hub.event(TraceEventKind::Shed, signal.code());
                             }
                         }
                         Response::Shed {
@@ -599,10 +703,10 @@ fn serve_request(
 
 /// Graceful drain of one connection: close the session (a barrier — every
 /// queued trace completes and every in-flight refinement lands), deliver the
-/// final report in a `GoAway`, then answer any straggling requests with an
-/// error until the client hangs up. Waiting for the client's EOF (instead of
-/// closing immediately) keeps the kernel from discarding the buffered
-/// `GoAway` with a reset.
+/// final report in a `GoAway`, then answer the requests already queued on
+/// the socket with an error. Its read half is shut (the drain wake), so
+/// reads return queued frames and then end of stream instead of blocking;
+/// the deadline bounds a client that keeps sending.
 fn drain_connection(shared: &Shared, mut stream: TcpStream, session: Option<SessionHandle>) {
     let final_report: Option<SessionReport> = session.and_then(|s| s.close().ok());
     if !send(shared, &mut stream, &Response::GoAway(final_report)) {
@@ -610,7 +714,7 @@ fn drain_connection(shared: &Shared, mut stream: TcpStream, session: Option<Sess
     }
     let _ = stream.flush();
     let deadline = Instant::now() + shared.drain_timeout;
-    loop {
+    while Instant::now() < deadline {
         match read_frame(&mut stream, MAX_FRAME_LEN) {
             Ok((ReadOutcome::Frame(_), n)) => {
                 shared.instruments.bytes_in.add(n);
@@ -622,13 +726,7 @@ fn drain_connection(shared: &Shared, mut stream: TcpStream, session: Option<Sess
                     return;
                 }
             }
-            Ok((ReadOutcome::Eof, _)) => return,
-            Err(FrameReadError::IdleTimeout) => {
-                if Instant::now() >= deadline {
-                    return;
-                }
-            }
-            Err(_) => return,
+            Ok((ReadOutcome::Eof, _)) | Err(_) => return,
         }
     }
 }
@@ -639,44 +737,28 @@ fn drain_connection(shared: &Shared, mut stream: TcpStream, session: Option<Sess
 pub(crate) fn client_handshake(stream: &mut TcpStream) -> Result<u64> {
     let mut hello = crate::codec::WireWriter::with_tag(crate::frame::tag::HELLO);
     hello.raw(hello_json(PROTOCOL_VERSION).as_bytes());
-    write_frame(stream, &hello.into_bytes())
-        .map_err(|e| DbTouchError::Io(format!("handshake send: {e}")))?;
-    loop {
-        match read_frame(stream, MAX_HANDSHAKE_LEN) {
-            Ok((ReadOutcome::Frame(p), _)) => {
-                return match p.first() {
-                    Some(&crate::frame::tag::HELLO_ACK) => check_hello(&p[1..])
-                        .map(|acked| acked.min(PROTOCOL_VERSION))
-                        .map_err(DbTouchError::Remote),
-                    Some(&crate::frame::tag::SHED) => match crate::codec::decode_response(&p)? {
-                        Response::Shed {
-                            retry_after_ms,
-                            reason,
-                        } => Err(DbTouchError::Overloaded {
-                            retry_after_ms,
-                            reason,
-                        }),
-                        _ => Err(DbTouchError::Remote("malformed shed frame".into())),
-                    },
-                    Some(&crate::frame::tag::ERROR) => match crate::codec::decode_response(&p)? {
-                        Response::Error(msg) => Err(DbTouchError::Remote(msg)),
-                        _ => Err(DbTouchError::Remote("malformed error frame".into())),
-                    },
-                    Some(&crate::frame::tag::GO_AWAY) => {
-                        Err(DbTouchError::Remote("server is draining".into()))
-                    }
-                    _ => Err(DbTouchError::Remote(
-                        "unexpected frame during handshake".into(),
-                    )),
-                };
-            }
-            Ok((ReadOutcome::Eof, _)) => {
-                return Err(DbTouchError::Io(
-                    "connection closed during handshake".into(),
-                ))
-            }
-            Err(FrameReadError::IdleTimeout) => continue,
-            Err(e) => return Err(DbTouchError::Io(format!("handshake read: {e}"))),
-        }
+    let p = crate::client::exchange(stream, &hello.into_bytes(), MAX_HANDSHAKE_LEN, "handshake")?;
+    match p.first() {
+        Some(&crate::frame::tag::HELLO_ACK) => check_hello(&p[1..])
+            .map(|acked| acked.min(PROTOCOL_VERSION))
+            .map_err(DbTouchError::Remote),
+        Some(&crate::frame::tag::SHED) => match crate::codec::decode_response(&p)? {
+            Response::Shed {
+                retry_after_ms,
+                reason,
+            } => Err(DbTouchError::Overloaded {
+                retry_after_ms,
+                reason,
+            }),
+            _ => Err(DbTouchError::Remote("malformed shed frame".into())),
+        },
+        Some(&crate::frame::tag::ERROR) => match crate::codec::decode_response(&p)? {
+            Response::Error(msg) => Err(DbTouchError::Remote(msg)),
+            _ => Err(DbTouchError::Remote("malformed error frame".into())),
+        },
+        Some(&crate::frame::tag::GO_AWAY) => Err(DbTouchError::Remote("server is draining".into())),
+        _ => Err(DbTouchError::Remote(
+            "unexpected frame during handshake".into(),
+        )),
     }
 }

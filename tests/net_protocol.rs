@@ -12,7 +12,7 @@ use dbtouch::workload::concurrent::{
 use dbtouch::workload::Scenario;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Bring up a loopback server over a seeded scenario catalog.
 fn serve_scenario(
@@ -229,7 +229,9 @@ fn tiny_thresholds_shed_explicitly() {
 
     // An impossible p99 target sheds traces on an already-open session:
     // the open and the first trace are admitted (no touch latencies yet),
-    // then the recorded latencies trip the pressure check.
+    // then the recorded latencies trip the pressure check. Admission sees
+    // only executed work, and an acknowledged trace is merely queued: the
+    // snapshot barrier makes the first trace's latencies visible.
     let (traffic_server, traffic_catalog, object2) = serve_scenario(
         2_000,
         ServerConfig::with_workers(1).with_shed(ShedConfig {
@@ -246,6 +248,7 @@ fn tiny_thresholds_shed_explicitly() {
     let view = traffic_catalog.data(object2).unwrap().base_view().clone();
     let trace = dbtouch::gesture::synthesizer::GestureSynthesizer::new(60.0).slide_down(&view, 0.2);
     session.run_trace(object2, trace.clone()).unwrap();
+    session.snapshot().unwrap();
     match session.run_trace(object2, trace) {
         Err(DbTouchError::Overloaded { retry_after_ms, .. }) => {
             assert_eq!(retry_after_ms, 11)
@@ -295,4 +298,89 @@ fn graceful_drain_delivers_final_report() {
     // And a fresh connection is refused (the listener is gone).
     let refused = TcpClient::new("127.0.0.1:1".to_string());
     assert!(refused.open_session().is_err());
+}
+
+#[test]
+fn connection_limit_sheds_at_accept_with_its_own_code() {
+    let (server, _catalog, _object) =
+        serve_scenario(2_000, ServerConfig::with_workers(1).with_max_connections(1));
+    let client = TcpClient::new(server.local_addr().to_string());
+    let first = client.open_session().unwrap();
+    match client.open_session() {
+        Err(DbTouchError::Overloaded { reason, .. }) => {
+            assert!(reason.contains("connection limit"), "reason: {reason}")
+        }
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+    let codes: Vec<u64> = server
+        .metrics_snapshot()
+        .events()
+        .iter()
+        .filter(|e| e.kind == dbtouch::obs::TraceEventKind::Shed)
+        .map(|e| e.detail)
+        .collect();
+    assert_eq!(codes, vec![2]);
+    first.close().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn sequential_opens_are_served_without_an_accept_poll() {
+    let (server, _catalog, _object) = serve_scenario(2_000, ServerConfig::with_workers(1));
+    let client = TcpClient::new(server.local_addr().to_string());
+    // A sleep-polling acceptor makes each open wait for its next poll; a
+    // blocking one serves the connection as soon as it arrives.
+    let mut round_trips: Vec<Duration> = (0..40)
+        .map(|_| {
+            let started = Instant::now();
+            client.open_session().unwrap().close().unwrap();
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median open/close round trip {median:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn drain_wakes_idle_connections_without_waiting_out_the_timeout() {
+    let (server, catalog, object) = serve_scenario(
+        10_000,
+        ServerConfig::with_workers(2).with_drain_timeout_ms(5_000),
+    );
+    let client = TcpClient::new(server.local_addr().to_string());
+    let view = catalog.data(object).unwrap().base_view().clone();
+    let trace = dbtouch::gesture::synthesizer::GestureSynthesizer::new(60.0).slide_down(&view, 0.2);
+
+    // Eight idle connections, each with an open session and one
+    // acknowledged trace.
+    let mut sessions: Vec<_> = (0..8)
+        .map(|_| {
+            let mut session = client.open_session().unwrap();
+            session
+                .set_action(object, dbtouch::core::kernel::TouchAction::Scan)
+                .unwrap();
+            session.run_trace(object, trace.clone()).unwrap();
+            session
+        })
+        .collect();
+
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+
+    // Every client still gets its final report, the trace included.
+    for session in sessions.iter_mut() {
+        assert!(session.snapshot().is_err(), "the drain closed the session");
+        let report = session
+            .take_goaway_report()
+            .expect("drain should deliver the final SessionReport");
+        assert_eq!(report.traces_run(), 1);
+        assert!(report.errors.is_empty());
+    }
 }

@@ -30,7 +30,7 @@ use dbtouch_obs::{MetricSource, MetricValue, Telemetry, TraceEventKind};
 use dbtouch_types::{DataType, DbTouchError, Result, RowId, RowRange, Value};
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -135,7 +135,11 @@ impl Pool {
 pub struct Pager {
     path: PathBuf,
     page_size: usize,
-    file: Mutex<File>,
+    /// Read with positioned reads (`pread`), so concurrent faults never
+    /// queue behind each other or behind an append.
+    file: File,
+    /// Serializes appends, which claim page ids from `len_pages`.
+    append: Mutex<()>,
     pool: Mutex<Pool>,
     /// Pages currently in the file (committed or not); the id source for
     /// appends.
@@ -189,7 +193,8 @@ impl Pager {
         Ok(Pager {
             path,
             page_size,
-            file: Mutex::new(file),
+            file,
+            append: Mutex::new(()),
             pool: Mutex::new(Pool {
                 capacity: pool_pages.max(1),
                 map: HashMap::new(),
@@ -245,20 +250,25 @@ impl Pager {
         }
     }
 
+    /// Fill `buf` from the start of page `page_id` with one positioned read.
+    /// A short file is a [`DbTouchError::Corrupt`] store, not an I/O error.
+    fn read_at_page(&self, page_id: u64, buf: &mut [u8], op: &str) -> Result<()> {
+        self.file
+            .read_exact_at(buf, page_id * self.page_size as u64)
+            .map_err(|e| {
+                if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                    DbTouchError::Corrupt(format!(
+                        "page {page_id} lies beyond the end of the page file"
+                    ))
+                } else {
+                    io_err(op, e)
+                }
+            })
+    }
+
     fn read_image(&self, page_id: u64) -> Result<Vec<u8>> {
         let mut image = vec![0u8; self.page_size];
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.seek(SeekFrom::Start(page_id * self.page_size as u64))
-            .map_err(|e| io_err("seek page", e))?;
-        file.read_exact(&mut image).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                DbTouchError::Corrupt(format!(
-                    "page {page_id} lies beyond the end of the page file"
-                ))
-            } else {
-                io_err("read page", e)
-            }
-        })?;
+        self.read_at_page(page_id, &mut image, "read page")?;
         Ok(image)
     }
 
@@ -300,19 +310,18 @@ impl Pager {
         Ok(payload)
     }
 
-    /// Append page payloads, returning the id of the first page written. The
-    /// caller is responsible for serializing appends (the persist path holds
-    /// a store-wide lock) and for [`sync`](Pager::sync)ing before publishing
-    /// a manifest that references the new pages.
+    /// Append page payloads, returning the id of the first page written.
+    /// Appends are serialized by the pager's append lock and never block
+    /// reads; the caller must [`sync`](Pager::sync) before publishing a
+    /// manifest that references the new pages.
     pub fn append_payloads<'a>(&self, payloads: impl IntoIterator<Item = &'a [u8]>) -> Result<u64> {
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let _append = self.append.lock().unwrap_or_else(|e| e.into_inner());
         let first = self.len_pages.load(Ordering::Acquire);
-        file.seek(SeekFrom::Start(first * self.page_size as u64))
-            .map_err(|e| io_err("seek append", e))?;
         let mut next = first;
         for payload in payloads {
             let image = encode_page(next, payload, self.page_size)?;
-            file.write_all(&image)
+            self.file
+                .write_all_at(&image, next * self.page_size as u64)
                 .map_err(|e| io_err("append page", e))?;
             next += 1;
         }
@@ -322,8 +331,9 @@ impl Pager {
 
     /// Flush appended pages to stable storage.
     pub fn sync(&self) -> Result<()> {
-        let file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.sync_data().map_err(|e| io_err("sync page file", e))
+        self.file
+            .sync_data()
+            .map_err(|e| io_err("sync page file", e))
     }
 
     /// Stream-verify every page of an extent without populating the pool:
@@ -345,19 +355,8 @@ impl Pager {
     /// cheap; payload checksums are still verified lazily on every fault.
     pub fn verify_extent_headers(&self, extent: &ColumnExtent) -> Result<()> {
         let mut header = [0u8; PAGE_HEADER_BYTES];
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
         for page_id in extent.start_page..extent.start_page + extent.page_count {
-            file.seek(SeekFrom::Start(page_id * self.page_size as u64))
-                .map_err(|e| io_err("seek page header", e))?;
-            file.read_exact(&mut header).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    DbTouchError::Corrupt(format!(
-                        "page {page_id} lies beyond the end of the page file"
-                    ))
-                } else {
-                    io_err("read page header", e)
-                }
-            })?;
+            self.read_at_page(page_id, &mut header, "read page header")?;
             let decoded = crate::page::PageHeader::decode(&header, self.page_size)?;
             if decoded.page_id != page_id {
                 return Err(DbTouchError::Corrupt(format!(

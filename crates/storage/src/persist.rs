@@ -20,10 +20,11 @@
 //! never to an empty catalog.
 //!
 //! **Open-time validation.** [`CatalogStore::open`] walks manifests newest
-//! first and picks the first one that (a) parses and matches its embedded
-//! whole-file checksum, (b) references only pages inside the committed bound,
-//! and (c) passes a page-*header* scan of every referenced extent (magic +
-//! page id, `PAGE_HEADER_BYTES` per page — cheap even for large catalogs).
+//! first and picks the first one that (a) parses, carries the current
+//! [`MANIFEST_FORMAT`] and matches its embedded whole-file checksum, (b)
+//! references only pages inside the committed bound, and (c) passes a
+//! page-*header* scan of every referenced extent (magic + page id,
+//! `PAGE_HEADER_BYTES` per page — cheap even for large catalogs).
 //! Payload checksums are verified lazily when a page faults into the buffer
 //! pool, keeping open-to-first-touch latency independent of payload size
 //! while still turning bit rot into errors rather than wrong answers.
@@ -46,8 +47,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Manifest format version, bumped on incompatible layout changes.
-pub const MANIFEST_FORMAT: u64 = 1;
+/// Manifest format version, bumped on incompatible layout changes. The
+/// checksum algorithm is part of the format: version 2 checksums pages and
+/// manifests with XXH64 (version 1 used FNV-1a and is not readable).
+pub const MANIFEST_FORMAT: u64 = 2;
 
 /// Default retention window of epoch manifests (the `KernelConfig::manifest_keep`
 /// knob overrides it per store). One would suffice for clean shutdowns; a
@@ -345,7 +348,7 @@ fn object_from_json(j: &Json) -> Result<ObjectRecord> {
 
 impl StoreManifest {
     /// Serialize to the manifest file text: the body JSON plus an embedded
-    /// FNV-1a checksum of the body's canonical rendering, so any truncation
+    /// XXH64 checksum of the body's canonical rendering, so any truncation
     /// or edit of the file itself is detected before its contents are
     /// believed.
     pub fn to_text(&self) -> String {
@@ -379,23 +382,25 @@ impl StoreManifest {
         Json::Object(m)
     }
 
-    /// Parse and checksum-verify a manifest file's text.
+    /// Parse and checksum-verify a manifest file's text. The format is
+    /// checked first: a manifest of another format carries a checksum of
+    /// another algorithm, so it is reported as unsupported, not as corrupt.
     pub fn from_text(text: &str) -> Result<StoreManifest> {
         let outer =
             json::parse(text).map_err(|e| DbTouchError::Corrupt(format!("manifest parse: {e}")))?;
         let body = outer
             .get("body")
             .ok_or_else(|| DbTouchError::Corrupt("manifest: missing body".into()))?;
-        let stored = get_str(&outer, "checksum")?;
-        let digest = crate::page::checksum(body.pretty().as_bytes());
-        if stored != format!("{digest:016x}") {
-            return Err(DbTouchError::Corrupt("manifest checksum mismatch".into()));
-        }
         let format = get_u64(body, "format")?;
         if format != MANIFEST_FORMAT {
             return Err(DbTouchError::Corrupt(format!(
                 "manifest format {format} not supported (expected {MANIFEST_FORMAT})"
             )));
+        }
+        let stored = get_str(&outer, "checksum")?;
+        let digest = crate::page::checksum(body.pretty().as_bytes());
+        if stored != format!("{digest:016x}") {
+            return Err(DbTouchError::Corrupt("manifest checksum mismatch".into()));
         }
         let slots = get_array(body, "slots")?
             .iter()
@@ -767,6 +772,39 @@ mod tests {
             StoreManifest::from_text(&tampered),
             Err(DbTouchError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn format_1_store_is_rejected_not_opened_empty() {
+        // A manifest exactly as the format-1 writer (FNV-1a checksums) left
+        // it: valid under its own algorithm, unreadable by this one.
+        let dir = temp_dir("format-1");
+        fs::write(dir.join(PAGES_FILE), b"").unwrap();
+        fs::write(
+            manifest_path(&dir, 1),
+            r#"{
+  "body": {
+    "committed_pages": 0,
+    "epoch": 1,
+    "format": 1,
+    "page_size": 256,
+    "restructures": 0,
+    "slots": []
+  },
+  "checksum": "d53039baec0c65d0"
+}"#,
+        )
+        .unwrap();
+        match CatalogStore::open(&dir, 8, 256) {
+            Err(DbTouchError::Corrupt(msg)) => {
+                assert!(msg.contains("no recoverable manifest"), "{msg}");
+                assert!(
+                    msg.contains("manifest format 1 not supported (expected 2)"),
+                    "{msg}"
+                );
+            }
+            other => panic!("a format-1 store must not open: {other:?}"),
+        }
     }
 
     #[test]

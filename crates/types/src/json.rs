@@ -173,6 +173,7 @@ fn write_string(out: &mut String, s: &str) {
 /// Parse a JSON document. Trailing non-whitespace input is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -186,6 +187,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -347,12 +349,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run up to the next quote or
+                    // backslash. Both are ASCII, so the run ends on a char
+                    // boundary of the (already valid UTF-8) input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -441,6 +446,30 @@ mod tests {
         assert!(parse(r#""\ud83dxx""#).is_err()); // high not followed by \u
         assert!(parse(r#""\ude00""#).is_err()); // lone low
         assert!(parse(r#""\ud83dA""#).is_err()); // low out of range
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 8 MiB of unescaped text with a few escapes and multi-byte
+        // characters mixed in. Rescanning the rest of the input for every
+        // character is quadratic and would run far past the bound; a linear
+        // parse takes milliseconds.
+        let chunk = "périscope ".repeat(1000);
+        let mut text = String::new();
+        while text.len() < 8 << 20 {
+            text.push_str(&chunk);
+            text.push_str("\\n\\\"\\u00e9");
+        }
+        let doc = format!("{{\"s\": \"{text}\"}}");
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        let expected = text
+            .replace("\\n", "\n")
+            .replace("\\\"", "\"")
+            .replace("\\u00e9", "é");
+        assert_eq!(parsed.get("s").and_then(Json::as_str), Some(&expected[..]));
+        assert!(elapsed.as_secs() < 10, "8 MiB string took {elapsed:?}");
     }
 
     #[test]
